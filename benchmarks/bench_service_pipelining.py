@@ -15,16 +15,13 @@ Three claims of the pipelining PR, measured end to end:
   more than ``service_stream_buffer_chunks`` undelivered chunks server-side —
   the producer suspends instead of buffering without limit.
 
-Three more from the flow-control PR:
+Two more on flow control:
 
 * **Credits isolate streams.** A stalled consumer on one stream costs a fast
   stream on the same connection almost nothing — per-stream credits park only
   the stalled stream's pump, where the old design wedged the shared wire.
 * **Cancellation stops decode.** Abandoning a scan after its first chunk
   leaves most of its pixels undecoded; the freed runner serves the next scan.
-* **Shared memory beats the socket same-host.** Pixels through the
-  negotiated ring (descriptors only on the wire) move more bytes per second
-  than the loopback socket path.
 
 Results print in the same rows-of-dicts shape the other benchmarks use.
 """
@@ -38,7 +35,7 @@ import time
 
 from repro.analysis import format_table, prepare_tasm
 from repro.datasets import visual_road_scene
-from repro.service import RemoteTasmClient, ShmTransport, SocketTransport, TasmServer
+from repro.service import RemoteTasmClient, SocketTransport, TasmServer
 from repro.service.transport import encode_chunk_payload
 
 from _bench_utils import emit_bench, print_section
@@ -357,85 +354,4 @@ def test_cancellation_stops_decode_promptly(config):
         "cancellation must stop decode well short of the full scan",
         full_pixels,
         cancelled_pixels,
-    )
-
-
-def _pixel_heavy_video():
-    """A billboard-sized stationary object: every scan returns nearly the
-    whole frame for 200 frames (~15 MB), so once the cache is warm the wire —
-    not the decode — is the dominant cost."""
-    from repro.video.synthetic import (
-        ObjectTrack,
-        SceneSpec,
-        StationaryMotion,
-        SyntheticVideo,
-    )
-
-    spec = SceneSpec(
-        name="shm-billboard",
-        width=384,
-        height=224,
-        frame_count=200,
-        frame_rate=10,
-        tracks=[
-            ObjectTrack(
-                label="billboard",
-                width=368,
-                height=208,
-                motion=StationaryMotion(x=8.0, y=8.0),
-                intensity=200,
-            )
-        ],
-        noise_sigma=1.0,
-        seed=77,
-    )
-    return SyntheticVideo(spec)
-
-
-def test_shm_beats_socket_for_same_host_pixel_throughput(config):
-    """Pixel bytes per second, warm cache (wire-bound): the shared-memory
-    ring versus the loopback socket."""
-    repeats = 3
-    rows = []
-    throughput: dict[str, float] = {}
-    for mode in ("socket", "shm"):
-        video = _pixel_heavy_video()
-        tasm = prepare_tasm(
-            video,
-            config.with_updates(
-                decode_cache_bytes=CACHE_BYTES, service_batch_window_ms=0.0
-            ),
-        )
-        server = TasmServer(tasm)
-        transport_cls = ShmTransport if mode == "shm" else SocketTransport
-        with server, transport_cls(server) as transport:
-            with RemoteTasmClient(
-                transport.address, use_shm=(mode == "shm")
-            ) as client:
-                warm = client.scan(video.name, "billboard")  # warms the cache
-                payload_bytes = sum(region.pixels.nbytes for region in warm.regions)
-                started = time.perf_counter()
-                for _ in range(repeats):
-                    client.scan(video.name, "billboard")
-                wall = time.perf_counter() - started
-                if mode == "shm":
-                    assert client.shm_active
-                    assert client.shm_chunks_received > 0
-        throughput[mode] = repeats * payload_bytes / wall / 1e6
-        rows.append(
-            {
-                "path": mode,
-                "payload_mb_per_scan": round(payload_bytes / 1e6, 2),
-                "wall_seconds": round(wall, 3),
-                "mb_per_second": round(throughput[mode], 1),
-            }
-        )
-    print_section(
-        f"Same-host pixel throughput, warm cache ({repeats} scans per path)"
-    )
-    print(format_table(rows))
-    emit_bench("service_pipelining", "shm_throughput", rows)
-    assert throughput["shm"] > throughput["socket"], (
-        "the shared-memory path must move pixels faster than the loopback socket",
-        rows,
     )

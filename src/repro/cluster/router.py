@@ -82,9 +82,7 @@ def probe_shard(address, timeout: float = 5.0) -> bool:
     try:
         _disable_nagle(sock)
         sock.settimeout(timeout)
-        send_message(
-            sock, {"op": "hello", "id": 0, "version": PROTOCOL_VERSION, "shm": False}
-        )
+        send_message(sock, {"op": "hello", "id": 0, "version": PROTOCOL_VERSION})
         reply = recv_message(sock)
         return bool(reply) and reply.get("type") == "hello"
     except (TransportError, ProtocolError, OSError):
@@ -381,21 +379,19 @@ class ClusterRouter:
         timeout: float | None = 30.0,
         stream_buffer_chunks: int = 64,
         retry: RetryPolicy | None = None,
-        use_shm: bool = False,
         metrics_ttl_s: float = 2.0,
     ):
         config = config or TasmConfig()
         self._addresses = {self._shard_name(a): tuple(a) for a in addresses}
         if not self._addresses:
             raise ValueError("a cluster needs at least one shard address")
-        self._replication = min(
-            config.cluster_replication_factor, len(self._addresses)
-        )
+        # The configured factor, not clamped to today's membership: the
+        # ring clamps per lookup, so a router that grows regains replicas.
+        self._replication = config.cluster_replication_factor
         self._ring = HashRing(self._addresses, vnodes=config.cluster_ring_vnodes)
         self._timeout = timeout
         self._buffer_chunks = stream_buffer_chunks
         self._retry = retry
-        self._use_shm = use_shm
         self._metrics_ttl = metrics_ttl_s
         self._lock = threading.Lock()
         self._clients: dict[str, RemoteTasmClient] = {}
@@ -439,7 +435,6 @@ class ClusterRouter:
             self._addresses[name] = tuple(address)
             self._ring.add_node(name)
             self._down.pop(name, None)
-            self._replication = min(self._replication, len(self._addresses))
         return name
 
     def remove_shard(self, name: str) -> None:
@@ -561,7 +556,6 @@ class ClusterRouter:
             address,
             timeout=self._timeout,
             stream_buffer_chunks=self._buffer_chunks,
-            use_shm=self._use_shm,
             retry=self._retry,
         )
         with self._lock:

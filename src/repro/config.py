@@ -155,14 +155,6 @@ class TasmConfig:
     #: (backpressure).  0 means unbounded (no suspension), which restores the
     #: pre-backpressure behaviour.
     service_stream_buffer_chunks: int = 64
-    #: Size in bytes of the per-connection shared-memory pixel ring offered
-    #: by :class:`~repro.service.transport.ShmTransport` to same-host clients
-    #: that request it at the hello handshake.  Pixel payloads then travel
-    #: through the ring (one memcpy in, one out, no kernel transit) while
-    #: only small descriptor frames cross the socket; a chunk that does not
-    #: fit the ring's free space falls back to the socket path.  Plain
-    #: ``SocketTransport`` never offers a ring regardless of this value.
-    service_shm_ring_bytes: int = 16 * 1024 * 1024
     #: Master switch for the observability surface (``repro.obs``): the
     #: metrics registry, per-query traces, and the slow-query log.  Off, the
     #: server hands out no-op instruments and the shared null trace, so the
@@ -250,10 +242,6 @@ class TasmConfig:
         if self.service_stream_buffer_chunks < 0:
             raise ConfigurationError(
                 "service_stream_buffer_chunks must be non-negative (0 = unbounded)"
-            )
-        if self.service_shm_ring_bytes < 0:
-            raise ConfigurationError(
-                "service_shm_ring_bytes must be non-negative (0 = no shared-memory ring)"
             )
         if self.slow_query_ms < 0:
             raise ConfigurationError(

@@ -8,7 +8,6 @@ from .plan import (
     FAULT_CONSUMER_SKEW,
     FAULT_DECODE_ERROR,
     FAULT_RUNNER_DEATH,
-    FAULT_SHM_ATTACH,
     FAULT_TRANSPORT_CUT,
     FAULT_TRANSPORT_DELAY,
     FAULT_TRANSPORT_DROP,
@@ -23,7 +22,6 @@ __all__ = [
     "FAULT_CONSUMER_SKEW",
     "FAULT_DECODE_ERROR",
     "FAULT_RUNNER_DEATH",
-    "FAULT_SHM_ATTACH",
     "FAULT_TRANSPORT_CUT",
     "FAULT_TRANSPORT_DELAY",
     "FAULT_TRANSPORT_DROP",

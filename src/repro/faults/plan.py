@@ -36,8 +36,6 @@ The injection points (the ``FAULT_*`` constants):
                          up the next batch (raises an exception derived from
                          ``BaseException`` so nothing short of the supervisor
                          catches it).
-``shm.attach``           client: fail the shared-memory attach during the
-                         handshake (falls back to the socket pixel path).
 ``consumer.skew``        client: sleep ``delay_ms`` before consuming each
                          delivered chunk (a clock-skewed / starved consumer
                          that exercises credit flow control).
@@ -56,7 +54,6 @@ __all__ = [
     "FAULT_CONSUMER_SKEW",
     "FAULT_DECODE_ERROR",
     "FAULT_RUNNER_DEATH",
-    "FAULT_SHM_ATTACH",
     "FAULT_TRANSPORT_CUT",
     "FAULT_TRANSPORT_DELAY",
     "FAULT_TRANSPORT_DROP",
@@ -72,7 +69,6 @@ FAULT_TRANSPORT_CUT = "transport.cut"
 FAULT_TRANSPORT_DELAY = "transport.delay"
 FAULT_DECODE_ERROR = "decode.error"
 FAULT_RUNNER_DEATH = "runner.death"
-FAULT_SHM_ATTACH = "shm.attach"
 FAULT_CONSUMER_SKEW = "consumer.skew"
 
 KNOWN_FAULT_POINTS = frozenset(
@@ -82,7 +78,6 @@ KNOWN_FAULT_POINTS = frozenset(
         FAULT_TRANSPORT_DELAY,
         FAULT_DECODE_ERROR,
         FAULT_RUNNER_DEATH,
-        FAULT_SHM_ATTACH,
         FAULT_CONSUMER_SKEW,
     }
 )

@@ -128,13 +128,7 @@ class Observability:
         # Transport -------------------------------------------------------
         self.chunks_sent = registry.counter(
             "tasm_chunks_sent_total",
-            "Stream chunks sent to remote clients, by data path.",
-            labels=("path",),
-        )
-        self.shm_fallbacks = registry.counter(
-            "tasm_shm_fallback_total",
-            "Chunks that fell back to the socket because the shared-memory "
-            "ring had no room.",
+            "Stream chunks sent to remote clients.",
         )
         self.credit_stall_seconds = registry.histogram(
             "tasm_credit_stall_seconds",

@@ -13,7 +13,7 @@ named, timed segments with optional metadata:
 * **detail spans** (``top=False``) break the execution open without summing
   to anything: ``plan`` (index lookup), per-SOT ``serve`` spans carrying
   cache hit/miss counts, shared ``warm`` prefetch time, and the transport's
-  ``wire`` span (chunks delivered over the socket/shm path).
+  ``wire`` span (chunks delivered over the socket).
 
 Completed traces land in a bounded :class:`TraceLog` ring (newest first) the
 ``trace`` wire op reads, and queries slower than

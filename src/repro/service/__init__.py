@@ -28,11 +28,6 @@ available to *many concurrent callers*, the deployment VSS targets:
   connection's writer or its other streams (no head-of-line blocking).  A
   wire-level ``CANCEL`` lets a consumer abandon a scan so the server skips
   its remaining decode work.
-* :class:`~repro.service.transport.ShmTransport` — the same transport, plus
-  a per-connection shared-memory pixel ring negotiated at the hello
-  handshake: same-host clients receive pixel payloads through shared memory
-  (descriptors only on the socket), with clean per-chunk fallback to the
-  socket path when the ring is full or the negotiation fails.
 
 Observability: the server owns an :class:`~repro.obs.Observability` instance
 (``TasmServer.obs``) — a metrics registry, per-query traces, and a slow-query
@@ -50,7 +45,6 @@ from .transport import (
     RemoteScanStream,
     RemoteTasmClient,
     RetryPolicy,
-    ShmTransport,
     SocketTransport,
 )
 
@@ -64,7 +58,6 @@ __all__ = [
     "ResultStream",
     "RetryPolicy",
     "ServerStats",
-    "ShmTransport",
     "SocketTransport",
     "StreamChunk",
     "TasmClient",

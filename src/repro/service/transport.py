@@ -17,11 +17,6 @@ then that many payload bytes.  The kinds:
   scan's remaining per-SOT decode work — an abandoned scan stops costing
   runner time within roughly one GOP instead of running to completion for
   nobody.
-* ``KIND_SHM_CHUNK`` (4) — like ``KIND_CHUNK``, but the pixel bytes live in
-  the negotiated shared-memory ring; the frame carries only the ring offset,
-  the byte count, and the JSON header.
-* ``KIND_SHM_ACK`` (5) — client → server: the client has copied a
-  shared-memory chunk out of the ring; the server may recycle its slot.
 
 **Flow control (per stream, not per connection).**  Each scan request grants
 the server an initial budget of chunk *credits* (the client's
@@ -38,25 +33,13 @@ stream's credit budget in flight.  (Server-side memory stays bounded by the
 scheduler's own ``service_stream_buffer_chunks`` stream buffers — credits
 bound the wire, stream buffers bound the producer.)
 
-**Shared-memory pixel path.**  A same-host client may request, at the hello
-handshake, that pixel payloads bypass the socket: the server (when serving
-through :class:`ShmTransport`, or a :class:`SocketTransport` given
-``shm_ring_bytes``) creates a per-connection ``multiprocessing.shared_memory``
-ring and returns its descriptor; chunk pixels are then written into the ring
-(one memcpy) and only a small descriptor frame crosses the socket — the
-idiom of xpra's mmap transport, which moves pixels through a shared buffer
-and sends offsets on the wire.  Ring slots recycle on ``KIND_SHM_ACK``,
-sent by the client's reader the moment it has copied a chunk out, so ring
-occupancy tracks wire latency, not consumer speed.  Every fallback is clean:
-a server without a ring answers the hello with ``"shm": null``, a client
-that fails to attach says so and is served over the socket, and a chunk that
-does not fit the ring's free space rides the socket as a plain
-``KIND_CHUNK``.
-
-The hello handshake (``{"op": "hello", "version": ..., "shm": ...}``) also
-pins :data:`PROTOCOL_VERSION`; a version-skewed peer is refused with a clear
-error instead of desynchronising the byte stream.  Clients that skip the
-hello (version-1 style raw callers) still get JSON ops and socket chunks.
+The hello handshake (``{"op": "hello", "version": ...}``) pins
+:data:`PROTOCOL_VERSION`; a version-skewed peer is refused with a clear
+error instead of desynchronising the byte stream.  Other hello keys are
+ignored: an earlier version-2 peer asking for a same-host pixel ring is
+offered none and receives every chunk as a ``KIND_CHUNK`` frame.  Clients
+that skip the hello (version-1 style raw callers) still get JSON ops and
+chunks.
 
 A connection that dies *inside* a frame raises
 :class:`~repro.errors.TransportError`; only an EOF landing exactly on a
@@ -93,7 +76,6 @@ from ..errors import (
 )
 from ..faults.plan import (
     FAULT_CONSUMER_SKEW,
-    FAULT_SHM_ATTACH,
     FAULT_TRANSPORT_CUT,
     FAULT_TRANSPORT_DELAY,
     FAULT_TRANSPORT_DROP,
@@ -107,49 +89,37 @@ __all__ = [
     "KIND_CHUNK",
     "KIND_CREDIT",
     "KIND_JSON",
-    "KIND_SHM_ACK",
-    "KIND_SHM_CHUNK",
     "PROTOCOL_VERSION",
     "RemoteScanStream",
     "RemoteTasmClient",
     "RetryPolicy",
-    "ShmTransport",
     "SocketTransport",
 ]
 
-#: Bumped by the credit/cancel/shm rework: version 1 was the plain
-#: multiplexed protocol with TCP-level backpressure only.
+#: Bumped by the credit/cancel rework: version 1 was the plain multiplexed
+#: protocol with TCP-level backpressure only.
 PROTOCOL_VERSION = 2
 
 _FRAME_HEADER = struct.Struct(">BI")
 _CHUNK_HEADER = struct.Struct(">I")
 _CREDIT_FRAME = struct.Struct(">II")  # query id, credits granted
 _CANCEL_FRAME = struct.Struct(">I")  # query id
-_SHM_CHUNK_HEADER = struct.Struct(">QI")  # ring offset, pixel byte count
-_SHM_ACK_FRAME = struct.Struct(">Q")  # ring offset being released
 
 KIND_JSON = 0
 KIND_CHUNK = 1
 KIND_CREDIT = 2
 KIND_CANCEL = 3
-KIND_SHM_CHUNK = 4
-KIND_SHM_ACK = 5
 
 #: Outbox bound used when the configured bound is 0 (unbounded streams still
 #: should not let one connection queue frames without limit — memory, not
 #: correctness, is at stake here).
 _DEFAULT_WIRE_BUFFER = 64
 
-#: Hosts a client treats as same-host when auto-deciding whether to request
-#: the shared-memory pixel path.
-_LOOPBACK_HOSTS = ("127.0.0.1", "::1", "localhost")
-
 
 def _disable_nagle(sock: socket.socket) -> None:
-    """Small control frames (credits, cancels, shm descriptors and acks) must
-    not sit in Nagle's buffer behind a quiet wire — with the pixel bytes out
-    of band in shared memory, coalescing saves nothing and costs a delayed-ACK
-    round trip per chunk."""
+    """Small credit and cancel frames must not sit in Nagle's buffer behind a
+    quiet wire: a credit held back stalls its stream's pump for a delayed-ACK
+    round trip, and a held cancel keeps an abandoned scan decoding."""
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
@@ -231,15 +201,10 @@ def recv_message(sock: socket.socket) -> dict | None:
 # ----------------------------------------------------------------------
 # Chunk (de)serialisation — the binary pixel path
 # ----------------------------------------------------------------------
-def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[bytes], int]:
-    """One chunk split for the wire: JSON header, pixel blobs, total bytes.
-
-    Shared by the socket path (header + blobs concatenated into one frame)
-    and the shared-memory path (blobs into the ring, header onto the wire).
-    """
+def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[bytes]]:
+    """One chunk split for the wire: its JSON header and the pixel blobs."""
     metas = []
     blobs: list[bytes] = []
-    total = 0
     for region in regions:
         pixels = np.ascontiguousarray(region.pixels)
         blob = pixels.tobytes()
@@ -259,38 +224,17 @@ def chunk_parts(query_id: int, sot_index: int, regions) -> tuple[bytes, list[byt
             }
         )
         blobs.append(blob)
-        total += len(blob)
     header = json.dumps(
         {"id": query_id, "sot_index": sot_index, "regions": metas},
         separators=(",", ":"),
     ).encode("utf-8")
-    return header, blobs, total
+    return header, blobs
 
 
 def encode_chunk_payload(query_id: int, sot_index: int, regions) -> bytes:
     """Serialise one stream chunk: JSON header + concatenated raw pixels."""
-    header, blobs, _ = chunk_parts(query_id, sot_index, regions)
+    header, blobs = chunk_parts(query_id, sot_index, regions)
     return _CHUNK_HEADER.pack(len(header)) + header + b"".join(blobs)
-
-
-def _regions_from_metas(metas, pixels_for) -> list[ScanRegion]:
-    """Build ScanRegions from chunk metadata; ``pixels_for(meta, offset)``
-    supplies each region's (writable) pixel array."""
-    regions: list[ScanRegion] = []
-    offset = 0
-    for meta in metas:
-        pixels = pixels_for(meta, offset)
-        offset += meta["nbytes"]
-        x1, y1, x2, y2 = meta["region"]
-        regions.append(
-            ScanRegion(
-                frame_index=meta["frame_index"],
-                region=Rectangle(x1, y1, x2, y2),
-                pixels=pixels,
-                label=meta["label"],
-            )
-        )
-    return regions
 
 
 def decode_chunk_payload(payload: bytearray) -> tuple[dict, list[ScanRegion]]:
@@ -303,171 +247,27 @@ def decode_chunk_payload(payload: bytearray) -> tuple[dict, list[ScanRegion]]:
     copied to preserve that guarantee.
     """
     (header_length,) = _CHUNK_HEADER.unpack_from(payload, 0)
-    body_start = _CHUNK_HEADER.size + header_length
-    header = json.loads(bytes(payload[_CHUNK_HEADER.size : body_start]).decode("utf-8"))
+    offset = _CHUNK_HEADER.size + header_length
+    header = json.loads(bytes(payload[_CHUNK_HEADER.size : offset]).decode("utf-8"))
     view = memoryview(payload)
-
-    def pixels_for(meta, offset):
-        start = body_start + offset
+    regions: list[ScanRegion] = []
+    for meta in header["regions"]:
         pixels = np.frombuffer(
-            view[start : start + meta["nbytes"]], dtype=np.dtype(meta["dtype"])
+            view[offset : offset + meta["nbytes"]], dtype=np.dtype(meta["dtype"])
         ).reshape(meta["shape"])
         if not pixels.flags.writeable:
             pixels = pixels.copy()
-        return pixels
-
-    return header, _regions_from_metas(header["regions"], pixels_for)
-
-
-def decode_shm_chunk_payload(
-    payload: bytearray, ring_buffer
-) -> tuple[int, dict, list[ScanRegion]]:
-    """Parse one shared-memory chunk descriptor; pixels copied out of the ring.
-
-    Returns ``(ring_offset, header, regions)`` — the caller must ack
-    ``ring_offset`` so the server can recycle the slot.  Unlike the socket
-    path, the pixels *must* be copied: the ring memory is reused as soon as
-    the ack lands.
-    """
-    ring_offset, _total = _SHM_CHUNK_HEADER.unpack_from(payload, 0)
-    header_at = _SHM_CHUNK_HEADER.size
-    (header_length,) = _CHUNK_HEADER.unpack_from(payload, header_at)
-    body_start = header_at + _CHUNK_HEADER.size
-    header = json.loads(
-        bytes(payload[body_start : body_start + header_length]).decode("utf-8")
-    )
-
-    def pixels_for(meta, offset):
-        start = ring_offset + offset
-        return (
-            np.frombuffer(
-                ring_buffer[start : start + meta["nbytes"]],
-                dtype=np.dtype(meta["dtype"]),
+        offset += meta["nbytes"]
+        x1, y1, x2, y2 = meta["region"]
+        regions.append(
+            ScanRegion(
+                frame_index=meta["frame_index"],
+                region=Rectangle(x1, y1, x2, y2),
+                pixels=pixels,
+                label=meta["label"],
             )
-            .reshape(meta["shape"])
-            .copy()
         )
-
-    return ring_offset, header, _regions_from_metas(header["regions"], pixels_for)
-
-
-# ----------------------------------------------------------------------
-# The shared-memory pixel ring (server side)
-# ----------------------------------------------------------------------
-class _ShmRing:
-    """A per-connection ring of pixel payloads in shared memory.
-
-    The server allocates contiguous slots at the head (padding over the wrap
-    so a payload is never split); the client acks each slot after copying it
-    out, and the tail advances over the acked prefix *in allocation order* —
-    so an ack arriving out of order (pumps enqueue descriptors in a different
-    order than they allocated) can never free memory ahead of an unread slot.
-    """
-
-    def __init__(self, size: int):
-        from multiprocessing import shared_memory
-
-        self._segment = shared_memory.SharedMemory(create=True, size=size)
-        self.size = size
-        self.name = self._segment.name
-        _LOCAL_RING_NAMES.add(self.name)
-        self._lock = threading.Lock()
-        self._head = 0  # absolute byte counters; ring position is counter % size
-        self._tail = 0
-        self._outstanding: deque[tuple[int, int]] = deque()  # (offset, padded size)
-        self._freed: set[int] = set()
-        self._dead = False
-
-    @classmethod
-    def try_create(cls, size: int) -> "_ShmRing | None":
-        """A ring, or None when shared memory is unavailable on this host."""
-        if size <= 0:
-            return None
-        try:
-            return cls(size)
-        except Exception:  # noqa: BLE001 — any failure means "no shm offered"
-            return None
-
-    def try_write(self, blobs: list[bytes], total: int) -> int | None:
-        """Copy ``blobs`` into a contiguous slot; its ring offset, or None
-        when the free space cannot hold it (the caller falls back to the
-        socket path — exhaustion is backpressure, not an error)."""
-        if total <= 0 or total > self.size:
-            return None
-        with self._lock:
-            if self._dead:
-                return None
-            start = self._head % self.size
-            pad = 0
-            if start + total > self.size:
-                pad = self.size - start  # skip the tail sliver; stay contiguous
-                start = 0
-            if (self._head + pad + total) - self._tail > self.size:
-                return None
-            self._head += pad + total
-            view = self._segment.buf
-            offset = start
-            for blob in blobs:
-                view[offset : offset + len(blob)] = blob
-                offset += len(blob)
-            self._outstanding.append((start, pad + total))
-            return start
-
-    def ack(self, offset: int) -> None:
-        """The client copied the chunk at ``offset`` out; recycle its slot."""
-        with self._lock:
-            if self._dead:
-                return
-            self._freed.add(offset)
-            while self._outstanding and self._outstanding[0][0] in self._freed:
-                start, size = self._outstanding.popleft()
-                self._freed.discard(start)
-                self._tail += size
-
-    @property
-    def outstanding_chunks(self) -> int:
-        with self._lock:
-            return len(self._outstanding)
-
-    def destroy(self) -> None:
-        with self._lock:
-            self._dead = True
-            try:
-                self._segment.close()
-            except Exception:  # noqa: BLE001 — teardown must not raise
-                pass
-        try:
-            self._segment.unlink()
-        except Exception:  # noqa: BLE001
-            pass
-        _LOCAL_RING_NAMES.discard(self.name)
-
-
-#: Ring names this process created.  Attaching to one's own segment (client
-#: and server in one process, the common test/bench topology) must not
-#: unregister it from the resource tracker — the creator's unlink does, and
-#: a second unregister makes the tracker spew KeyErrors at exit.
-_LOCAL_RING_NAMES: set[str] = set()
-
-
-def _attach_shm(name: str):
-    """Attach to a server-created segment (client side).
-
-    Python < 3.13 registers attached segments with the resource tracker as if
-    this process owned them, which makes the tracker unlink live segments at
-    exit (bpo-39959); unregister to leave cleanup with the creating server.
-    """
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    if segment.name not in _LOCAL_RING_NAMES:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # noqa: BLE001 — tracking quirks must not break attach
-            pass
-    return segment
+    return header, regions
 
 
 # ----------------------------------------------------------------------
@@ -531,24 +331,15 @@ class SocketTransport:
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
     construction.  Each connection runs a reader thread (demultiplexing
-    requests, credit grants, cancels, and shm acks), a writer thread
+    requests, credit grants, and cancels), a writer thread
     (serialising responses through a bounded outbox), and one pump thread per
     in-flight scan — so a single connection carries any number of concurrent
     scans, each with its own credit window, and a scan whose consumer stalls
     suspends only its own pump.  Each connection is one admission-control
     client: its scans share one round-robin slot per batch.
-
-    ``shm_ring_bytes`` > 0 lets connections negotiate the shared-memory pixel
-    path (see :class:`ShmTransport`, which defaults it from the config).
     """
 
-    def __init__(
-        self,
-        server,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        shm_ring_bytes: int = 0,
-    ):
+    def __init__(self, server, host: str = "127.0.0.1", port: int = 0):
         self._server = server
         self._listener = socket.create_server((host, port))
         # A blocked accept() is not reliably interrupted by close() on every
@@ -559,7 +350,6 @@ class SocketTransport:
         self._connections: set[_Connection] = set()
         self._connections_lock = threading.Lock()
         self._running = False
-        self._shm_ring_bytes = max(0, shm_ring_bytes)
         buffer = server.tasm.config.service_stream_buffer_chunks
         self._outbox_frames = buffer if buffer > 0 else _DEFAULT_WIRE_BUFFER
         #: Accepted sockets must complete a first frame (the hello) within
@@ -623,9 +413,7 @@ class SocketTransport:
             # the first complete frame lands (see _Connection.serve).
             sock.settimeout(self._handshake_timeout or None)
             _disable_nagle(sock)
-            connection = _Connection(
-                self._server, sock, self._outbox_frames, self._shm_ring_bytes
-            )
+            connection = _Connection(self._server, sock, self._outbox_frames)
             with self._connections_lock:
                 self._connections.add(connection)
             threading.Thread(
@@ -644,33 +432,10 @@ class SocketTransport:
             connection.close()
 
 
-class ShmTransport(SocketTransport):
-    """A :class:`SocketTransport` that offers the shared-memory pixel path.
-
-    Same wire protocol, same address; the only difference is that a
-    connection whose hello requests shared memory gets a per-connection
-    pixel ring (``TasmConfig.service_shm_ring_bytes`` unless overridden).
-    Cross-host clients, clients that never ask, and clients whose attach
-    fails are served over the socket exactly as before — the ring is an
-    optimisation negotiated per connection, never a requirement.
-    """
-
-    def __init__(
-        self,
-        server,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        shm_ring_bytes: int | None = None,
-    ):
-        if shm_ring_bytes is None:
-            shm_ring_bytes = server.tasm.config.service_shm_ring_bytes
-        super().__init__(server, host=host, port=port, shm_ring_bytes=shm_ring_bytes)
-
-
 class _Connection:
     """One accepted socket: request demux, response mux, per-scan pumps."""
 
-    def __init__(self, server, sock: socket.socket, outbox_frames: int, shm_ring_bytes: int = 0):
+    def __init__(self, server, sock: socket.socket, outbox_frames: int):
         self._server = server
         self._sock = sock
         self._obs = getattr(server, "obs", None) or DISABLED
@@ -685,8 +450,6 @@ class _Connection:
         self._flow = threading.Condition()
         self._credits: dict[int, int | None] = {}
         self._cancelled: set[int] = set()
-        self._shm_ring_bytes = shm_ring_bytes
-        self._shm_ring: _ShmRing | None = None
         # Server-side transport fault injection (``TasmConfig.fault_plan``):
         # consulted per outgoing frame by the writer, no-ops when unset.
         plan = getattr(server.tasm.config, "fault_plan", None)
@@ -742,10 +505,6 @@ class _Connection:
                 elif kind == KIND_CANCEL:
                     (query_id,) = _CANCEL_FRAME.unpack(payload)
                     self._cancel_scan(query_id)
-                elif kind == KIND_SHM_ACK:
-                    (offset,) = _SHM_ACK_FRAME.unpack(payload)
-                    if self._shm_ring is not None:
-                        self._shm_ring.ack(offset)
                 else:
                     # An unknown kind means the byte stream is not what we
                     # think it is; there is no safe way to keep parsing.
@@ -764,14 +523,6 @@ class _Connection:
             self._start_scan(query_id, message)
         elif op == "hello":
             self._handle_hello(query_id, message)
-        elif op == "shm_failed":
-            # The client could not attach; tear the ring down and serve
-            # every chunk over the socket.  Arrives before any scan request
-            # (the client resolves attachment during its handshake), so no
-            # pump can have written into the ring yet.
-            ring, self._shm_ring = self._shm_ring, None
-            if ring is not None:
-                ring.destroy()
         elif op == "add_metadata":
             self._server.add_metadata(
                 message["video"],
@@ -840,20 +591,7 @@ class _Connection:
                 }
             )
             return
-        descriptor = None
-        if message.get("shm") and self._shm_ring is None:
-            ring = _ShmRing.try_create(self._shm_ring_bytes)
-            if ring is not None:
-                self._shm_ring = ring
-                descriptor = {"name": ring.name, "size": ring.size}
-        self._reply(
-            {
-                "type": "hello",
-                "id": query_id,
-                "version": PROTOCOL_VERSION,
-                "shm": descriptor,
-            }
-        )
+        self._reply({"type": "hello", "id": query_id, "version": PROTOCOL_VERSION})
 
     def _start_scan(self, query_id: int, message: dict) -> None:
         with self._scans_lock:
@@ -946,8 +684,16 @@ class _Connection:
         chunks_sent = 0
         try:
             try:
-                for chunk in stream:
+                # Take a chunk off the stream only once a credit allows
+                # sending it: a chunk held here while the pump parks would
+                # free a buffer slot and let the producer run one chunk past
+                # the credit window plus the stream buffer.
+                chunks = iter(stream)
+                while True:
                     self._await_credit(query_id)
+                    chunk = next(chunks, None)
+                    if chunk is None:
+                        break
                     self._send_chunk(query_id, chunk)
                     chunks_sent += 1
                 result = stream.result()
@@ -1037,27 +783,12 @@ class _Connection:
             return query_id in self._cancelled
 
     def _send_chunk(self, query_id: int, chunk) -> None:
-        """One chunk to the client: through the shm ring when it fits, else
-        the socket (ring exhaustion falls back instead of blocking)."""
-        header, blobs, total = chunk_parts(query_id, chunk.sot_index, chunk.regions)
-        ring = self._shm_ring
-        if ring is not None and total > 0:
-            offset = ring.try_write(blobs, total)
-            if offset is not None:
-                self._enqueue(
-                    KIND_SHM_CHUNK,
-                    _SHM_CHUNK_HEADER.pack(offset, total)
-                    + _CHUNK_HEADER.pack(len(header))
-                    + header,
-                )
-                self._obs.chunks_sent.labels(path="shm").inc()
-                return
-            # Ring negotiated but full: this chunk rides the socket instead.
-            self._obs.shm_fallbacks.inc()
+        """One chunk to the client as a single ``KIND_CHUNK`` frame."""
+        header, blobs = chunk_parts(query_id, chunk.sot_index, chunk.regions)
         self._enqueue(
             KIND_CHUNK, _CHUNK_HEADER.pack(len(header)) + header + b"".join(blobs)
         )
-        self._obs.chunks_sent.labels(path="socket").inc()
+        self._obs.chunks_sent.inc()
 
     def _forget_scan(self, query_id: int) -> None:
         with self._scans_lock:
@@ -1131,9 +862,6 @@ class _Connection:
             self._scans.clear()
         for stream in orphaned:
             stream._fail(ServiceError("connection closed"))
-        ring, self._shm_ring = self._shm_ring, None
-        if ring is not None:
-            ring.destroy()
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -1330,10 +1058,7 @@ class RemoteTasmClient:
     """Connects to a :class:`SocketTransport`; multiplexes over one socket.
 
     Construction performs the hello handshake: the protocol version is
-    pinned (a mismatched server is refused with :class:`ProtocolError`), and
-    — when ``use_shm`` is true, or left None against a loopback address — the
-    shared-memory pixel path is negotiated, falling back cleanly to the
-    socket when the server offers no ring or the attach fails.
+    pinned (a mismatched server is refused with :class:`ProtocolError`).
 
     Any number of requests may be in flight at once: each gets a fresh query
     id, and a background reader thread demultiplexes responses to the right
@@ -1344,6 +1069,9 @@ class RemoteTasmClient:
     undelivered chunks in flight per stream, so one unconsumed stream parks
     its own server-side pump and nothing else — the connection's reader and
     its other streams keep full throughput.
+
+    ``use_shm`` is kept only so callers passing ``use_shm=False`` keep
+    working; True raises :class:`ValueError`.
     """
 
     def __init__(
@@ -1355,6 +1083,10 @@ class RemoteTasmClient:
         retry: RetryPolicy | None = None,
         fault_plan=None,
     ):
+        if use_shm:
+            raise ValueError(
+                "use_shm=True is not supported: every chunk travels on the socket"
+            )
         self._address = address
         self._sock = socket.create_connection(address, timeout=timeout)
         _disable_nagle(self._sock)
@@ -1368,21 +1100,13 @@ class RemoteTasmClient:
         self._replies: dict[int, queue.SimpleQueue] = {}
         self._closed = False
         self._close_lock = threading.Lock()
-        self._shm = None
-        #: Chunks received through each data path (shared memory vs socket);
-        #: handy for verifying what the negotiation actually produced.
-        self.shm_chunks_received = 0
-        self.socket_chunks_received = 0
         #: Successful reconnects performed by the reader thread.
         self.retries_total = 0
         #: Scans failed client-side because their deadline ran out during a
         #: reconnect gap — the server never sees (or counts) these.
         self.deadline_fast_fails = 0
-        # Client-side fault injection (chaos tests): a failing shm attach and
-        # a clock-skewed slow consumer.
-        self._fault_attach = (
-            fault_plan.site(FAULT_SHM_ATTACH) if fault_plan is not None else None
-        )
+        # Client-side fault injection (chaos tests): a clock-skewed slow
+        # consumer.
         self._fault_skew = (
             fault_plan.site(FAULT_CONSUMER_SKEW) if fault_plan is not None else None
         )
@@ -1396,12 +1120,9 @@ class RemoteTasmClient:
         #: into a socket known to be gone.
         self._wire_ok = threading.Event()
         self._wire_ok.set()
-        if use_shm is None:
-            use_shm = address[0] in _LOOPBACK_HOSTS
-        self._want_shm = bool(use_shm)
         self._sock.settimeout(timeout)  # bound the handshake
         try:
-            self._shm = self._handshake(self._sock)
+            self._handshake(self._sock)
         except BaseException:
             self._sock.close()
             raise
@@ -1411,24 +1132,15 @@ class RemoteTasmClient:
         )
         self._reader.start()
 
-    def _handshake(self, sock: socket.socket):
-        """Run the hello on ``sock``; the attached shm segment (or None).
+    def _handshake(self, sock: socket.socket) -> None:
+        """Run the hello on ``sock``.
 
         Raises :class:`TransportError`/:class:`ProtocolError` on failure —
         the caller owns closing the socket.  Used for both the initial
-        connection and every reconnect (each connection negotiates its own
-        ring; a ring from a dead connection is useless).
+        connection and every reconnect.
         """
         try:
-            send_message(
-                sock,
-                {
-                    "op": "hello",
-                    "id": 0,
-                    "version": PROTOCOL_VERSION,
-                    "shm": self._want_shm,
-                },
-            )
+            send_message(sock, {"op": "hello", "id": 0, "version": PROTOCOL_VERSION})
             reply = recv_message(sock)
         except TransportError:
             raise
@@ -1440,23 +1152,6 @@ class RemoteTasmClient:
             raise ProtocolError(f"server refused the handshake: {reply.get('message')}")
         if reply.get("type") != "hello" or reply.get("version") != PROTOCOL_VERSION:
             raise ProtocolError(f"unexpected handshake reply: {reply}")
-        descriptor = reply.get("shm")
-        if descriptor:
-            try:
-                if self._fault_attach is not None and self._fault_attach.should_fire():
-                    raise OSError("injected shm attach failure")
-                return _attach_shm(descriptor["name"])
-            except Exception:  # noqa: BLE001 — fall back to the socket path
-                try:
-                    send_message(sock, {"op": "shm_failed", "id": 0})
-                except OSError:
-                    pass
-        return None
-
-    @property
-    def shm_active(self) -> bool:
-        """True when pixel payloads arrive through shared memory."""
-        return self._shm is not None
 
     def close(self, join_timeout: float = 5.0) -> None:
         with self._close_lock:
@@ -1493,12 +1188,6 @@ class RemoteTasmClient:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            try:
-                shm.close()
-            except Exception:  # noqa: BLE001 — teardown must not raise
-                pass
 
     def __enter__(self) -> "RemoteTasmClient":
         return self
@@ -1556,23 +1245,6 @@ class RemoteTasmClient:
             kind, payload = frame
             if kind == KIND_CHUNK:
                 header, regions = decode_chunk_payload(payload)
-                self.socket_chunks_received += 1
-                stream = self._stream_for(header.get("id"))
-                if stream is not None:
-                    stream._deliver(("chunk", header["sot_index"], regions))
-            elif kind == KIND_SHM_CHUNK:
-                if self._shm is None:
-                    raise TransportError(
-                        "server sent a shared-memory chunk on a connection "
-                        "without a negotiated ring"
-                    )
-                offset, header, regions = decode_shm_chunk_payload(
-                    payload, self._shm.buf
-                )
-                # The pixels are copied out; release the ring slot even
-                # if nobody waits on this stream anymore.
-                self._send_frame(KIND_SHM_ACK, _SHM_ACK_FRAME.pack(offset))
-                self.shm_chunks_received += 1
                 stream = self._stream_for(header.get("id"))
                 if stream is not None:
                     stream._deliver(("chunk", header["sot_index"], regions))
@@ -1627,25 +1299,20 @@ class RemoteTasmClient:
                 try:
                     _disable_nagle(sock)
                     sock.settimeout(self._timeout)
-                    new_shm = self._handshake(sock)
+                    self._handshake(sock)
                     sock.settimeout(None)
                 except (TransportError, ProtocolError, OSError):
                     sock.close()
                     continue
                 with self._close_lock:
                     if self._closed:
-                        if new_shm is not None:
-                            new_shm.close()
                         sock.close()
                         return False
                     old_sock, self._sock = self._sock, sock
-                    old_shm, self._shm = self._shm, new_shm
                 try:
                     old_sock.close()
                 except OSError:
                     pass
-                if old_shm is not None:
-                    old_shm.close()
                 self.retries_total += 1
                 self._wire_ok.set()
                 for query_id, stream in resumable:

@@ -18,6 +18,9 @@ The contracts pinned here:
   :class:`~repro.service.RetryPolicy` underneath;
 * ``ServerBusy`` from a shedding shard routes around it for that scan only
   (the shard is not marked down);
+* a router that grows past its replication factor regains the configured
+  replica count (the factor is never clamped to the membership it started
+  with);
 * health checks ride the bounded hello handshake, and the metrics rollup
   sums counters across shards without flattening per-shard detail.
 """
@@ -109,6 +112,24 @@ class TestHashRing:
             counts[owner] = counts.get(owner, 0) + 1
         for owner, count in counts.items():
             assert 0.5 / 4 < count / 4000 < 2.0 / 4, (owner, counts)
+
+
+class TestRouterMembership:
+    def test_growing_router_regains_configured_replication(self, config):
+        """A router started with fewer shards than its replication factor
+        must reach that factor once enough shards join: after growing from
+        one shard to two, a key whose primary is excluded still has the
+        other shard as its replica.  Fake addresses; nothing is dialled."""
+        router = ClusterRouter(
+            [("127.0.0.1", 1)], config=replicated(config, factor=2)
+        )
+        try:
+            router.add_shard(("127.0.0.1", 2))
+            primary = router._ring.node_for(sot_key("video", 0))
+            (other,) = set(router.shards) - {primary}
+            assert router._choose_replica("video", 0, excluded={primary}) == other
+        finally:
+            router.close()
 
 
 # ----------------------------------------------------------------------

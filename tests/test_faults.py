@@ -56,7 +56,6 @@ from repro.faults import (
     FAULT_CONSUMER_SKEW,
     FAULT_DECODE_ERROR,
     FAULT_RUNNER_DEATH,
-    FAULT_SHM_ATTACH,
     FAULT_TRANSPORT_CUT,
     FAULT_TRANSPORT_DELAY,
     FAULT_TRANSPORT_DROP,
@@ -68,7 +67,6 @@ from repro.service import (
     BatchScheduler,
     RemoteTasmClient,
     RetryPolicy,
-    ShmTransport,
     SocketTransport,
 )
 from repro.service.shedding import QueueWaitBreaker, percentile_from_buckets
@@ -555,31 +553,6 @@ class TestRetryReconnect:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory attach faults
-# ----------------------------------------------------------------------
-class TestShmAttachFault:
-    def test_attach_failure_falls_back_to_socket(self, config):
-        plan = FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=19)
-        server, video = make_server(config)
-        reference, _ = make_tasm(config)
-        transport = ShmTransport(server).start()
-        try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=True, fault_plan=plan
-            ) as client:
-                assert client.shm_active is False
-                assert_scan_results_identical(
-                    client.scan(video.name, "car"),
-                    reference.scan(video.name, "car"),
-                )
-                assert client.socket_chunks_received > 0
-                assert client.shm_chunks_received == 0
-        finally:
-            transport.stop()
-            server.stop()
-
-
-# ----------------------------------------------------------------------
 # Handshake bound (satellite: a wedged peer cannot pin a reader forever)
 # ----------------------------------------------------------------------
 class TestHandshakeTimeout:
@@ -679,7 +652,6 @@ class TestZeroCostWhenUnset:
                 assert connection._fault_drop is None
                 assert connection._fault_cut is None
                 assert connection._fault_delay is None
-                assert client._fault_attach is None
                 assert client._fault_skew is None
                 assert client.scan(video.name, "car").regions
         finally:
@@ -727,15 +699,9 @@ class TestChaos:
         )
         reference, _ = make_tasm(config)
         expected = {label: reference.scan(video.name, label) for label in LABELS}
-        transport = ShmTransport(server).start()
+        transport = SocketTransport(server).start()
         retry = RetryPolicy(attempts=8, base_delay=0.02, max_delay=0.2, seed=seed)
-        client_a = RemoteTasmClient(
-            transport.address,
-            timeout=15.0,
-            use_shm=True,
-            retry=retry,
-            fault_plan=FaultPlan([FaultSpec(FAULT_SHM_ATTACH, max_fires=1)], seed=seed),
-        )
+        client_a = RemoteTasmClient(transport.address, timeout=15.0, retry=retry)
         client_b = RemoteTasmClient(
             transport.address,
             timeout=15.0,

@@ -492,11 +492,7 @@ class TestObservabilityIntegration:
         finally:
             server.stop()
         assert metrics["tasm_queries_completed_total"]["values"][0]["value"] == 1
-        chunk_paths = {
-            entry["labels"]["path"]: entry["value"]
-            for entry in metrics["tasm_chunks_sent_total"]["values"]
-        }
-        assert sum(chunk_paths.values()) >= 1
+        assert metrics["tasm_chunks_sent_total"]["values"][0]["value"] >= 1
         trace = traces[0]
         assert trace["status"] == "ok"
         # The acceptance criterion: the fetched trace's top spans account for

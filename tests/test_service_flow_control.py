@@ -1,4 +1,4 @@
-"""Per-stream credits, wire cancellation, and the shared-memory data path.
+"""Per-stream credits, wire cancellation, and wire compatibility.
 
 The contracts pinned here:
 
@@ -11,9 +11,8 @@ The contracts pinned here:
   the scan's remaining per-SOT decode work — an abandoned scan stops costing
   decode within one SOT;
 * a stream closed while still queued never enters a batch at all;
-* the shared-memory pixel path is byte-identical to the socket path, falls
-  back per chunk when the ring cannot hold a payload, and degrades cleanly
-  to the socket when the server offers no ring or the client cannot attach;
+* a hello that asks for the removed same-host pixel ring is offered none,
+  and the scan's chunks all arrive as plain ``KIND_CHUNK`` frames;
 * ``_Outbox.put`` blocked on a full outbox raises promptly when the
   connection closes (no polling, no silent frame drops);
 * ``RemoteTasmClient.close()`` joins its reader with a deadline and warns —
@@ -25,6 +24,7 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import json
 import queue
 import socket
 import threading
@@ -34,12 +34,16 @@ import pytest
 
 from repro.core.query import Query
 from repro.errors import ProtocolError, ServiceError, TransportError
-from repro.service import RemoteTasmClient, ShmTransport, SocketTransport, TasmServer
+from repro.service import RemoteTasmClient, SocketTransport, TasmServer
 from repro.service.scheduler import _SHUTDOWN, ResultStream
 from repro.service.transport import (
     _Outbox,
-    _ShmRing,
+    _assemble_result,
+    KIND_CHUNK,
+    KIND_JSON,
     PROTOCOL_VERSION,
+    decode_chunk_payload,
+    recv_frame,
     recv_message,
     send_message,
 )
@@ -197,117 +201,54 @@ class TestCancellation:
             server.stop()
 
 
-class TestSharedMemory:
-    def test_shm_roundtrip_byte_identical(self, config):
-        """Pixels through the ring: results identical to a direct scan, and
-        every chunk of every scan rode shared memory, none the socket."""
-        server, video = make_server(config)
-        reference, _ = make_tasm(config)
-        transport = ShmTransport(server).start()
-        try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=True
-            ) as client:
-                assert client.shm_active
-                for label in ("car", "person", "sign"):
-                    assert_scan_results_identical(
-                        client.scan(video.name, label),
-                        reference.scan(video.name, label),
-                    )
-                assert client.shm_chunks_received > 0
-                assert client.socket_chunks_received == 0
-        finally:
-            transport.stop()
-            server.stop()
-
-    def test_exhausted_ring_falls_back_to_socket_per_chunk(self, config):
-        """A ring too small for any chunk: the negotiation still succeeds,
-        every chunk falls back to the socket, results stay identical."""
-        server, video = make_server(config)
-        reference, _ = make_tasm(config)
-        transport = ShmTransport(server, shm_ring_bytes=16).start()
-        try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=True
-            ) as client:
-                assert client.shm_active  # the ring exists, however tiny
-                assert_scan_results_identical(
-                    client.scan(video.name, "car"),
-                    reference.scan(video.name, "car"),
-                )
-                assert client.socket_chunks_received > 0
-                assert client.shm_chunks_received == 0
-        finally:
-            transport.stop()
-            server.stop()
-
-    def test_plain_socket_transport_offers_no_ring(self, config):
-        """use_shm against a SocketTransport: hello answers ``shm: null``
-        and everything arrives over the socket."""
+class TestWireCompatibility:
+    def test_ring_request_gets_plain_chunks(self, config):
+        """A version-2 peer written for the removed same-host pixel ring
+        still says ``"shm": true`` in its hello: the server answers a plain
+        hello with no ring offer, and every chunk of the scan arrives as a
+        ``KIND_CHUNK`` frame, byte-identical to a direct scan."""
         server, video = make_server(config)
         reference, _ = make_tasm(config)
         transport = SocketTransport(server).start()
+        conn = socket.create_connection(transport.address, timeout=30)
         try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=True
-            ) as client:
-                assert not client.shm_active
-                assert_scan_results_identical(
-                    client.scan(video.name, "car"),
-                    reference.scan(video.name, "car"),
-                )
-                assert client.socket_chunks_received > 0
+            conn.settimeout(30)
+            send_message(
+                conn, {"op": "hello", "id": 0, "version": PROTOCOL_VERSION, "shm": True}
+            )
+            hello = recv_message(conn)
+            assert hello["type"] == "hello"
+            assert hello["version"] == PROTOCOL_VERSION
+            assert hello.get("shm") is None
+            send_message(
+                conn,
+                {"op": "scan", "id": 1, "video": video.name, "labels": ["car"]},
+            )
+            kinds: list[int] = []
+            regions = []
+            while True:
+                kind, payload = recv_frame(conn)
+                if kind == KIND_JSON:
+                    done = json.loads(bytes(payload).decode("utf-8"))
+                    break
+                kinds.append(kind)
+                _, chunk_regions = decode_chunk_payload(payload)
+                regions.extend(chunk_regions)
+            assert done["type"] == "done", done
+            assert kinds and set(kinds) == {KIND_CHUNK}
+            assert_scan_results_identical(
+                _assemble_result(done, regions), reference.scan(video.name, "car")
+            )
         finally:
+            conn.close()
             transport.stop()
             server.stop()
 
-    def test_attach_failure_falls_back_to_socket(self, config, monkeypatch):
-        """A client that cannot map the segment reports ``shm_failed``; the
-        server destroys the ring and serves the socket path."""
-        import repro.service.transport as transport_module
-
-        def broken_attach(name):
-            raise OSError("cannot map the segment")
-
-        monkeypatch.setattr(transport_module, "_attach_shm", broken_attach)
-        server, video = make_server(config)
-        reference, _ = make_tasm(config)
-        transport = ShmTransport(server).start()
-        try:
-            with RemoteTasmClient(
-                transport.address, timeout=30.0, use_shm=True
-            ) as client:
-                assert not client.shm_active
-                connection = only_connection(transport)
-                assert wait_until(lambda: connection._shm_ring is None), (
-                    "the server must tear the ring down on shm_failed"
-                )
-                assert_scan_results_identical(
-                    client.scan(video.name, "car"),
-                    reference.scan(video.name, "car"),
-                )
-                assert client.socket_chunks_received > 0
-        finally:
-            transport.stop()
-            server.stop()
-
-    def test_ring_reclaims_only_the_acked_in_order_prefix(self):
-        """Acks can arrive out of allocation order (pumps race); the tail
-        must never advance over an unacked slot."""
-        ring = _ShmRing(1024)
-        try:
-            first = ring.try_write([b"a" * 400], 400)
-            second = ring.try_write([b"b" * 400], 400)
-            assert first == 0 and second == 400
-            assert ring.try_write([b"c" * 400], 400) is None  # full
-            ring.ack(second)  # out of order: frees nothing yet
-            assert ring.try_write([b"c" * 400], 400) is None
-            ring.ack(first)  # the prefix is contiguous now: both recycle
-            third = ring.try_write([b"c" * 400], 400)
-            assert third is not None
-            assert bytes(ring._segment.buf[third : third + 3]) == b"ccc"
-        finally:
-            ring.destroy()
+    def test_client_refuses_use_shm_true(self):
+        """``use_shm`` survives only as a compatibility keyword: False and
+        None are accepted, True is refused before any connection is made."""
+        with pytest.raises(ValueError):
+            RemoteTasmClient(("127.0.0.1", 1), use_shm=True)
 
 
 class TestOutbox:
