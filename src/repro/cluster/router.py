@@ -52,8 +52,10 @@ from ..errors import (
     ServiceError,
     StreamCancelledError,
     TransportError,
+    stream_error,
 )
 from ..core.scan import ScanResult
+from ..service.scheduler import StreamChunk
 from ..service.transport import (
     PROTOCOL_VERSION,
     RemoteTasmClient,
@@ -104,8 +106,8 @@ class _SubScan:
 class ClusterScanStream:
     """The merged, failover-capable stream of a scattered scan.
 
-    Iterating yields ``(sot_index, [ScanRegion, ...])`` chunks in whatever
-    order replicas produce them; :meth:`result` assembles the final
+    Iterating yields :class:`~repro.service.scheduler.StreamChunk` tuples in
+    whatever order replicas produce them; :meth:`result` assembles the final
     :class:`ScanResult` with regions in ascending SOT order (each SOT's
     regions are one shard's chunk, internally in the executor's
     deterministic order), which is the order a single server produces — so
@@ -245,17 +247,9 @@ class ClusterScanStream:
         self._error = StreamCancelledError("cluster stream closed by its consumer")
         self._finished = True
 
-    def _scan_error(self) -> ServiceError:
-        error = self._error
-        cls = type(error) if isinstance(error, ServiceError) else ServiceError
-        try:
-            return cls(f"cluster scan failed: {error}")
-        except Exception:  # noqa: BLE001 — a ctor needing extra args
-            return ServiceError(f"cluster scan failed: {error}")
-
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[StreamChunk]:
         if self._error is not None:
-            raise self._scan_error() from self._error
+            raise stream_error(self._error, "cluster scan failed") from self._error
         while self._pending:
             try:
                 kind, token, *rest = self._events.get(timeout=self._timeout)
@@ -265,7 +259,7 @@ class ClusterScanStream:
                     f"({len(self._pending)} sub-stream(s) outstanding)"
                 )
                 self._finished = True
-                raise self._scan_error() from None
+                raise stream_error(self._error, "cluster scan failed") from None
             sub = self._pending.get(token)
             if sub is None:
                 continue  # a sub-stream failed over already; late event
@@ -276,7 +270,7 @@ class ClusterScanStream:
                 self._chunks[sot_index] = regions
                 sub.delivered.add(sot_index)
                 self._router._note_served(self.video, sot_index, sub.shard)
-                yield sot_index, regions
+                yield StreamChunk(sot_index, regions)
             elif kind == "done":
                 self._pending.pop(token, None)
                 self._shard_results.append(rest[0])
@@ -295,7 +289,7 @@ class ClusterScanStream:
         self._pending.clear()
         self._error = error
         self._finished = True
-        raise self._scan_error() from error
+        raise stream_error(self._error, "cluster scan failed") from error
 
     def _failover(self, sub: _SubScan, error: BaseException) -> None:
         """Re-scatter a failed sub-scan's undelivered SOTs, or fail for good.
@@ -334,7 +328,7 @@ class ClusterScanStream:
         for _ in self:
             pass
         if self._error is not None:
-            raise self._scan_error() from self._error
+            raise stream_error(self._error, "cluster scan failed") from self._error
         if self._result is None:
             regions = [
                 region

@@ -19,7 +19,7 @@ The paper's tuning knobs are collected in :class:`TasmConfig`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from .errors import ConfigurationError
@@ -121,19 +121,11 @@ class TasmConfig:
     encode_cost_per_pixel: float = 2.0e-6
     #: Fixed re-encoding cost per tile.
     encode_cost_per_tile: float = 2.0e-3
-    #: Capacity of the persistent tile-decode cache in decoded bytes.  0
-    #: disables the persistent cache, preserving the paper's one-shot scan
-    #: behaviour; batched execution then uses a cache scoped to each batch.
+    #: Capacity of the persistent tile-decode cache in decoded bytes; past it
+    #: the least recently used tiles are evicted.  0 disables the persistent
+    #: cache, preserving the paper's one-shot scan behaviour; batched
+    #: execution then uses a cache scoped to each batch.
     decode_cache_bytes: int = 0
-    #: Eviction policy of the tile-decode cache: "lru" evicts least recently
-    #: used; "cost" is GDSF-style, weighting each entry by its reconstruction
-    #: cost under the fitted ``beta*P + gamma*T`` model divided by its size,
-    #: so tiles that are expensive to re-decode per byte cached outlive
-    #: cheaper ones of equal recency.
-    eviction_policy: str = "lru"
-    #: Thread-pool width for the batch executor's per-SOT prefetch fan-out.
-    #: 1 keeps decoding single-threaded.
-    executor_threads: int = 1
     #: Batching window of the service layer (``repro.service``): queries
     #: arriving within this many milliseconds of the first pending query are
     #: coalesced into one ``execute_batch`` call so concurrent clients share
@@ -227,12 +219,6 @@ class TasmConfig:
             raise ConfigurationError("encode cost coefficients must be positive")
         if self.decode_cache_bytes < 0:
             raise ConfigurationError("decode_cache_bytes must be non-negative")
-        if self.eviction_policy not in ("lru", "cost"):
-            raise ConfigurationError(
-                f"eviction_policy must be 'lru' or 'cost', got {self.eviction_policy!r}"
-            )
-        if self.executor_threads < 1:
-            raise ConfigurationError("executor_threads must be at least 1")
         if self.service_batch_window_ms < 0:
             raise ConfigurationError("service_batch_window_ms must be non-negative")
         if self.service_max_batch < 1:
@@ -287,19 +273,39 @@ class TasmConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "TasmConfig":
-        """Build a config from a plain dict, e.g. parsed from JSON/TOML."""
-        codec_kwargs = dict(mapping.get("codec", {}))
-        cost_kwargs = dict(mapping.get("cost", {}))
-        top = {
-            key: value
-            for key, value in mapping.items()
-            if key not in ("codec", "cost")
-        }
+        """Build a config from a plain dict, e.g. parsed from JSON/TOML.
+
+        A key naming no field — at the top level or inside ``codec`` /
+        ``cost`` — raises :class:`ConfigurationError` naming it, so a stored
+        config that still sets a removed option fails with a clear message.
+        """
+        codec_kwargs = _field_kwargs(CodecConfig, mapping.get("codec", {}), "codec.")
+        cost_kwargs = _field_kwargs(CostCoefficients, mapping.get("cost", {}), "cost.")
+        top = _field_kwargs(
+            cls,
+            {
+                key: value
+                for key, value in mapping.items()
+                if key not in ("codec", "cost")
+            },
+        )
         return cls(
             codec=CodecConfig(**codec_kwargs),
             cost=CostCoefficients(**cost_kwargs),
             **top,
         )
+
+
+def _field_kwargs(
+    config_type: type, mapping: Mapping[str, Any], prefix: str = ""
+) -> dict[str, Any]:
+    """``mapping`` as keyword arguments for ``config_type``; unknown keys raise."""
+    kwargs = dict(mapping)
+    unknown = set(kwargs) - {spec.name for spec in fields(config_type)}
+    if unknown:
+        names = ", ".join(prefix + str(key) for key in sorted(unknown, key=str))
+        raise ConfigurationError(f"unknown {config_type.__name__} key(s): {names}")
+    return kwargs
 
 
 #: A shared default configuration used when callers do not supply one.

@@ -83,11 +83,7 @@ class TASM:
         from ..exec.engine import QueryExecutor
 
         self.tile_cache: "TileDecodeCache | None" = (
-            TileDecodeCache(
-                self.config.decode_cache_bytes,
-                eviction_policy=self.config.eviction_policy,
-                cost=self.config.cost,
-            )
+            TileDecodeCache(self.config.decode_cache_bytes)
             if self.config.decode_cache_bytes > 0
             else None
         )
@@ -171,7 +167,6 @@ class TASM:
     def execute_batch(
         self,
         queries: Sequence[Query],
-        max_workers: int | None = None,
         observer=None,
         cancelled=None,
         trace_sink=None,
@@ -197,7 +192,6 @@ class TASM:
         """
         return self._executor.execute_batch(
             queries,
-            max_workers=max_workers,
             observer=observer,
             cancelled=cancelled,
             trace_sink=trace_sink,

@@ -139,6 +139,23 @@ def error_code(error: BaseException) -> "str | None":
     return None
 
 
+def stream_error(error: BaseException, prefix: str) -> "ServiceError":
+    """The exception a stream's consumer raises for its terminal ``error``.
+
+    The message is ``f"{prefix}: {error}"``.  The failure's
+    :class:`ServiceError` subclass (deadline, busy, poison, cancelled...) is
+    kept so callers can branch on the outcome without string-matching; a
+    foreign exception type, or a subclass whose constructor needs extra
+    arguments, falls back to plain ``ServiceError``.
+    """
+    message = f"{prefix}: {error}"
+    cls = type(error) if isinstance(error, ServiceError) else ServiceError
+    try:
+        return cls(message)
+    except Exception:  # noqa: BLE001 — a ctor needing extra args
+        return ServiceError(message)
+
+
 def error_from_code(code: "str | None", message: str) -> "ServiceError":
     """Rebuild the typed ServiceError a wire error reply encodes."""
     cls = _WIRE_CODE_CLASSES.get(code, ServiceError)

@@ -18,27 +18,17 @@ Two mechanisms keep served pixels fresh across re-tiling:
   as a miss.  Even a caller that bypasses TASM's invalidation hook therefore
   cannot read pixels from a superseded encoding.
 
-Two eviction policies are available (``eviction_policy``):
+Eviction is least-recently-used: once the decoded bytes held exceed the
+capacity, the entry untouched for longest goes first.
 
-* ``"lru"`` — evict the least recently used entry (the default).
-* ``"cost"`` — GDSF-style cost-aware eviction.  Each entry's value is its
-  reconstruction cost under the paper's fitted decode model,
-  ``beta * P + gamma * T`` (P = pixels decoded to rebuild it, T = 1 tile
-  bitstream opened), divided by the bytes it occupies; the eviction priority
-  is ``clock + frequency * value_per_byte``, with the clock advancing to each
-  victim's priority so recency still ages entries out.  Small, hot, or
-  deep-into-the-GOP tiles — the ones costing the most decode work per cached
-  byte — outlive large cheap ones that plain LRU would keep.
-
-The cache is safe for concurrent use: the :class:`QueryExecutor` prefetch
-phase may decode SOTs from a thread pool, and in server mode
-(``repro.service``) many client batches share one process-wide instance, so
-every operation takes the cache's lock.
+The cache is safe for concurrent use: in server mode (``repro.service``)
+several batch runners share one process-wide instance, so every operation
+takes the cache's lock, and misses on the same key decode single-flight (see
+:meth:`TileDecodeCache.begin_decode`).
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import OrderedDict
@@ -46,8 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-
-from ..config import CostCoefficients
 
 __all__ = ["CacheStats", "TileDecodeCache", "TileKey"]
 
@@ -98,17 +86,6 @@ class _CacheEntry:
     frames: list[np.ndarray]
     token: tuple[int, ...]
     nbytes: int
-    #: Pixels that were decoded to build this entry (the cost model's P).
-    pixels: int = 0
-    #: Lookup hits plus the initial insertion (GDSF frequency term).
-    frequency: int = 1
-    #: GDSF eviction priority; unused under the LRU policy.
-    priority: float = 0.0
-    #: ``(beta * P + gamma * T) / nbytes`` — reconstruction cost per byte.
-    value_per_byte: float = 0.0
-    #: Tick of this entry's latest priority update; heap items carrying an
-    #: older tick are stale and skipped during eviction (lazy invalidation).
-    version: int = 0
 
     @property
     def depth(self) -> int:
@@ -119,37 +96,18 @@ class TileDecodeCache:
     """Cache of decoded tile rasters, bounded by total decoded bytes.
 
     ``capacity_bytes=None`` makes the cache unbounded (used for batch-scoped
-    caches whose lifetime bounds their size); any positive value evicts
-    entries chosen by ``eviction_policy`` once the decoded bytes held exceed
-    it.  ``cost`` supplies the fitted decode-cost coefficients the ``"cost"``
-    policy values entries with (defaults to the model's defaults).
+    caches whose lifetime bounds their size); any positive value evicts the
+    least recently used entries once the decoded bytes held exceed it.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int | None = None,
-        eviction_policy: str = "lru",
-        cost: CostCoefficients | None = None,
-    ):
+    def __init__(self, capacity_bytes: int | None = None):
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive (or None for unbounded)")
-        if eviction_policy not in ("lru", "cost"):
-            raise ValueError(
-                f"eviction_policy must be 'lru' or 'cost', got {eviction_policy!r}"
-            )
         self.capacity_bytes = capacity_bytes
-        self.eviction_policy = eviction_policy
-        self.cost = cost or CostCoefficients()
         self.stats = CacheStats()
+        # Insertion/access order is eviction order: the head is the LRU entry.
         self._entries: OrderedDict[TileKey, _CacheEntry] = OrderedDict()
         self._current_bytes = 0
-        self._clock = 0.0
-        # Cost-policy eviction order: a min-heap of (priority, version, key)
-        # with lazy invalidation — priority updates push a fresh item and
-        # bump the entry's version rather than re-sifting, so eviction is
-        # O(log n) amortised instead of a min-scan over every entry.
-        self._heap: list[tuple[float, int, TileKey]] = []
-        self._update_tick = 0
         self._lock = threading.Lock()
         # Single-flight decode coordination: key -> event set when the
         # in-progress decode of that key completes (see begin_decode).
@@ -185,9 +143,6 @@ class TileDecodeCache:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
-            entry.frequency += 1
-            entry.priority = self._clock + entry.frequency * entry.value_per_byte
-            self._track_priority(key, entry)
             self.stats.hits += 1
             pixels_per_frame = int(entry.frames[0].size) if entry.frames else 0
             self.stats.pixels_served += pixels_per_frame * (min_depth + 1)
@@ -203,72 +158,23 @@ class TileDecodeCache:
         nbytes = sum(int(frame.nbytes) for frame in frames)
         if self.capacity_bytes is not None and nbytes > self.capacity_bytes:
             return False
-        pixels = sum(int(frame.size) for frame in frames)
-        # Rebuilding this entry costs decoding P pixels of one tile bitstream.
-        value_per_byte = (
-            (self.cost.beta * pixels + self.cost.gamma) / nbytes if nbytes else 0.0
-        )
-        entry = _CacheEntry(
-            frames=list(frames),
-            token=tuple(token),
-            nbytes=nbytes,
-            pixels=pixels,
-            value_per_byte=value_per_byte,
-        )
+        entry = _CacheEntry(frames=list(frames), token=tuple(token), nbytes=nbytes)
         with self._lock:
-            entry.priority = self._clock + entry.value_per_byte
             if key in self._entries:
                 self._remove(key)
             self._entries[key] = entry
             self._current_bytes += nbytes
-            self._track_priority(key, entry)
             self.stats.insertions += 1
             while (
                 self.capacity_bytes is not None
                 and self._current_bytes > self.capacity_bytes
                 and self._entries
             ):
-                victim_key = self._pick_victim()
-                victim = self._entries.pop(victim_key)
+                _, victim = self._entries.popitem(last=False)
                 self._current_bytes -= victim.nbytes
-                if self.eviction_policy == "cost":
-                    # GDSF clock: future entries must beat the value the
-                    # cache just gave up, so recency keeps aging entries out.
-                    self._clock = max(self._clock, victim.priority)
                 self.stats.evictions += 1
                 self.stats.bytes_evicted += victim.nbytes
         return True
-
-    def _track_priority(self, key: TileKey, entry: _CacheEntry) -> None:
-        """Record an entry's (new) priority in the eviction heap (lock held)."""
-        if self.eviction_policy != "cost" or self.capacity_bytes is None:
-            return
-        self._update_tick += 1
-        entry.version = self._update_tick
-        heapq.heappush(self._heap, (entry.priority, entry.version, key))
-        # Stale items accumulate one per priority update; compact before the
-        # heap dwarfs the live set so memory stays O(entries).
-        if len(self._heap) > 4 * len(self._entries) + 64:
-            self._heap = [
-                (live.priority, live.version, live_key)
-                for live_key, live in self._entries.items()
-            ]
-            heapq.heapify(self._heap)
-
-    def _pick_victim(self) -> TileKey:
-        """The key the active eviction policy sacrifices next (lock held)."""
-        if self.eviction_policy == "cost":
-            while self._heap:
-                _, version, key = self._heap[0]
-                entry = self._entries.get(key)
-                if entry is None or entry.version != version:
-                    heapq.heappop(self._heap)  # superseded or removed
-                    continue
-                return key
-            # Unreachable in normal operation (every live entry has a heap
-            # item); guard against it by falling back to a full scan.
-            return min(self._entries, key=lambda key: self._entries[key].priority)
-        return next(iter(self._entries))
 
     # ------------------------------------------------------------------
     # Single-flight decode coordination
@@ -338,7 +244,6 @@ class TileDecodeCache:
             self.stats.invalidations += len(self._entries)
             self._entries.clear()
             self._current_bytes = 0
-            self._heap.clear()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,15 +9,15 @@ work:
 * **Planning** — every query's region requests are resolved up front and
   grouped by ``(video, SOT)``, so the executor knows the union of tiles the
   whole batch needs before decoding anything.
-* **Warm + serve, pipelined per SOT** — each needed (GOP, tile) bitstream is
+* **Warm + serve, one SOT at a time** — a single loop walks the batch's
+  SOTs in ascending order.  For each, every needed (GOP, tile) bitstream is
   decoded *once*, to the deepest frame any query in the batch reaches, into
-  the :class:`~repro.exec.cache.TileDecodeCache` (prefetch optionally fans
-  out across a thread pool), and every query's requests against that SOT are
-  answered immediately afterwards, while its tiles are the cache's most
-  recently used entries — so a cache that holds one SOT's working set serves
-  hits even when the batch's whole working set is far larger, and a SOT too
-  big for the cache is simply not prefetched (serving it costs no more than
-  sequential execution would).  Per-query results are
+  the :class:`~repro.exec.cache.TileDecodeCache`, and every query's requests
+  against that SOT are answered immediately afterwards, while its tiles are
+  the cache's most recently used entries — so a cache that holds one SOT's
+  working set serves hits even when the batch's whole working set is far
+  larger, and a SOT too big for the cache is simply not prefetched (serving
+  it costs no more than sequential execution would).  Per-query results are
   byte-identical to sequential ``scan()`` calls — serving runs the same
   grouping, decode-depth, and assembly logic — but tiles shared between
   queries are decoded once instead of once per query.
@@ -30,7 +30,6 @@ counters, so summing the batch's stats reproduces the work actually done.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -110,10 +109,9 @@ class BatchResult:
     stats: DecodeStats = field(default_factory=DecodeStats)
     cache: CacheStats = field(default_factory=CacheStats)
     index_seconds: float = 0.0
-    #: Aggregate decoder time spent prefetching (warm) and answering queries
-    #: (serve).  These sum per-SOT decode times, so with ``executor_threads``
-    #: > 1 the warm figure can exceed the wall-clock time of the overlapped
-    #: prefetches — compare decode *work* across runs with ``stats`` instead.
+    #: Decoder time spent prefetching (warm) and answering queries (serve),
+    #: summed over the batch's SOTs.  These are timings; compare decode
+    #: *work* across runs with ``stats`` instead.
     warm_seconds: float = 0.0
     serve_seconds: float = 0.0
 
@@ -202,7 +200,6 @@ class QueryExecutor:
     def execute_batch(
         self,
         queries: Sequence[Query],
-        max_workers: int | None = None,
         observer: Callable[[StreamEvent], None] | None = None,
         cancelled: Callable[[int], bool] | None = None,
         trace_sink: Callable[..., None] | None = None,
@@ -214,8 +211,7 @@ class QueryExecutor:
         ``TasmConfig.decode_cache_bytes``) the batch shares it — warm entries
         from earlier scans are reused and survivors stay for later ones.
         Otherwise an unbounded cache scoped to this batch provides the
-        intra-batch sharing.  ``max_workers`` overrides
-        ``TasmConfig.executor_threads`` for the SOT prefetch fan-out.
+        intra-batch sharing.
 
         ``observer``, when given, receives streaming events from the serving
         thread: a :class:`PartialResult` the moment each SOT's regions for a
@@ -226,16 +222,16 @@ class QueryExecutor:
         immediately after planning.
 
         Observer threading contract: every event of one ``execute_batch``
-        call is emitted synchronously from the single thread driving that
-        call's serve phase (the prefetch pool never emits), so per-batch
-        event order needs no locking.  ``execute_batch`` itself may be called
-        from several threads at once (the service layer's batch-runner pool
-        does); each call emits only to its own observer, but an observer
-        closing over shared state — counters, a stats sink — must synchronise
-        that state itself.  An observer that *blocks* (e.g. backpressure on a
-        full stream buffer) suspends its batch, including the read locks the
-        batch holds; it must be unblockable (the service layer's streams drop
-        pushes once a stream reaches terminal state for exactly this reason).
+        call is emitted synchronously from the thread driving that call, so
+        per-batch event order needs no locking.  ``execute_batch`` itself may
+        be called from several threads at once (the service layer's
+        batch-runner pool does); each call emits only to its own observer, but
+        an observer closing over shared state — counters, a stats sink — must
+        synchronise that state itself.  An observer that *blocks* (e.g.
+        backpressure on a full stream buffer) suspends its batch, including
+        the read locks the batch holds; it must be unblockable (the service
+        layer's streams drop pushes once a stream reaches terminal state for
+        exactly this reason).
 
         ``cancelled``, when given, is polled with a query's index before work
         is done on its behalf: a query reported cancelled has its remaining
@@ -261,9 +257,8 @@ class QueryExecutor:
         per query (index-lookup time), a ``warm`` call per prefetched SOT
         with ``query_index=None`` (the decode is shared by the batch), and a
         ``serve`` call per (query, SOT) pair carrying cache hit/miss and
-        pixel counts.  Every call comes from the batch's single serving
-        thread (the prefetch pool reports through its collected results), so
-        a sink needs no locking against this batch.
+        pixel counts.  Every call comes from the thread driving the batch,
+        so a sink needs no locking against this batch.
 
         Like ``execute``, the batch holds read locks on each touched video
         while planning (released before decoding, so metadata writes only
@@ -279,7 +274,6 @@ class QueryExecutor:
         try:
             return self._execute_batch_locked(
                 queries,
-                max_workers,
                 observer,
                 cancelled,
                 trace_sink,
@@ -295,7 +289,6 @@ class QueryExecutor:
     def _execute_batch_locked(
         self,
         queries: Sequence[Query],
-        max_workers: int | None,
         observer: Callable[[StreamEvent], None] | None,
         cancelled: Callable[[int], bool] | None,
         trace_sink: Callable[..., None] | None,
@@ -348,10 +341,9 @@ class QueryExecutor:
         locks.release_read(video_held)
         video_held.clear()
 
-        # Materialise encoded SOTs up front: the serve phase needs them
-        # anyway, and doing it before the prefetch fan-out keeps the pool
-        # threads decode-only (first-touch encoding itself is serialised by
-        # TiledVideo's encode lock, so concurrent batches are safe too).
+        # Materialise encoded SOTs up front (first-touch encoding is
+        # serialised by TiledVideo's encode lock, so concurrent batches are
+        # safe).
         encoded = {
             (video, sot_index): self._tasm.catalog.get(video).encoded_sot(sot_index)
             for video, sot_index in union
@@ -381,7 +373,6 @@ class QueryExecutor:
         warm_stats = DecodeStats()
         warm_seconds = 0.0
         serve_seconds = 0.0
-        workers = max_workers if max_workers is not None else self._tasm.config.executor_threads
 
         fault_decode = self._fault_decode
 
@@ -430,72 +421,35 @@ class QueryExecutor:
                     if pending_sots[plan_index] == 0:
                         observer(QueryDone(plan_index, result))
             if batch_scoped_cache:
-                # Served SOTs are never revisited (ordered_keys is visited
-                # once, ascending), so a batch-scoped cache can release them —
-                # peak memory stays near one prefetch window, not the batch's
-                # whole decoded working set.
+                # Served SOTs are never revisited (each key is visited once,
+                # ascending), so a batch-scoped cache can release them —
+                # peak memory stays near one SOT's working set, not the
+                # batch's whole decoded working set.
                 cache.invalidate_sot(key[0], key[1])
             return elapsed
 
         # Each SOT is served immediately after its prefetch: its tiles are the
         # most recently used entries, so a cache holding one SOT's working
         # set serves hits however large the batch is (prefetch itself skips
-        # any SOT too big for the cache).  The thread pool keeps at most
-        # `workers` prefetches in flight ahead of the serve cursor for the
-        # same reason — submitting every SOT at once would let late
-        # prefetches evict tiles not yet served; for full hits under
-        # threading, size decode_cache_bytes to at least executor_threads
-        # SOT working sets.  SOT order is ascending per video, so each
-        # query's regions accumulate in the same order a sequential scan
-        # would produce them.
-        def _skip_group(key: tuple[str, int]) -> None:
-            """Bookkeeping for a SOT every interested query has abandoned."""
-            for plan_index, _ in members[key]:
-                pending_sots[plan_index] -= 1
-            if batch_scoped_cache:
-                cache.invalidate_sot(key[0], key[1])
-
-        ordered_keys = sorted(union)
-        if workers > 1 and len(ordered_keys) > 1:
-            window = min(workers, len(ordered_keys))
-            with ThreadPoolExecutor(max_workers=window) as pool:
-                in_flight: dict[tuple[str, int], object] = {}
-                next_submit = 0
-                for cursor, key in enumerate(ordered_keys):
-                    while next_submit < len(ordered_keys) and next_submit - cursor < window:
-                        pending_key = ordered_keys[next_submit]
-                        # A fully abandoned SOT is not worth a prefetch slot;
-                        # checked again at serve time for ones already warming.
-                        if not _fully_cancelled(pending_key):
-                            in_flight[pending_key] = pool.submit(_prefetch, pending_key)
-                        next_submit += 1
-                    future = in_flight.pop(key, None)
-                    if future is not None:
-                        warm = future.result()
-                        warm_stats.merge(warm.stats)
-                        warm_seconds += warm.elapsed_seconds
-                        if trace_sink is not None:
-                            trace_sink(
-                                None, "warm", warm.elapsed_seconds,
-                                video=key[0], sot=key[1],
-                            )
-                    if _fully_cancelled(key):
-                        _skip_group(key)
-                        continue
-                    serve_seconds += _serve_group(key)
-        else:
-            for key in ordered_keys:
-                if _fully_cancelled(key):
-                    _skip_group(key)
-                    continue
-                warm = _prefetch(key)
-                warm_stats.merge(warm.stats)
-                warm_seconds += warm.elapsed_seconds
-                if trace_sink is not None:
-                    trace_sink(
-                        None, "warm", warm.elapsed_seconds, video=key[0], sot=key[1]
-                    )
-                serve_seconds += _serve_group(key)
+        # any SOT too big for the cache).  SOT order is ascending per video,
+        # so each query's regions accumulate in the same order a sequential
+        # scan would produce them.
+        for key in sorted(union):
+            if _fully_cancelled(key):
+                # Nobody wants this SOT any more: neither prefetch nor serve.
+                for plan_index, _ in members[key]:
+                    pending_sots[plan_index] -= 1
+                if batch_scoped_cache:
+                    cache.invalidate_sot(key[0], key[1])
+                continue
+            warm = _prefetch(key)
+            warm_stats.merge(warm.stats)
+            warm_seconds += warm.elapsed_seconds
+            if trace_sink is not None:
+                trace_sink(
+                    None, "warm", warm.elapsed_seconds, video=key[0], sot=key[1]
+                )
+            serve_seconds += _serve_group(key)
 
         total = DecodeStats()
         total.merge(warm_stats)

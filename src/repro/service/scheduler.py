@@ -54,8 +54,7 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from ..core.query import Query
 from ..core.scan import ScanRegion, ScanResult
@@ -65,6 +64,7 @@ from ..errors import (
     ServerBusy,
     ServiceError,
     StreamCancelledError,
+    stream_error,
 )
 from ..exec.engine import BatchResult, PartialResult, QueryDone
 from ..faults.plan import FAULT_RUNNER_DEATH, InjectedRunnerDeath
@@ -76,15 +76,16 @@ from .shedding import QueueWaitBreaker
 __all__ = ["BatchScheduler", "ResultStream", "StreamChunk"]
 
 
-@dataclass(frozen=True)
-class StreamChunk:
-    """One SOT's worth of a query's results, delivered incrementally."""
+class StreamChunk(NamedTuple):
+    """One SOT's worth of a query's results, delivered incrementally.
+
+    Every stream yields these — in process, over the socket, and through the
+    cluster router — so ``for sot_index, regions in stream`` and
+    ``chunk.regions`` work on each of them.
+    """
 
     sot_index: int
-    regions: tuple[ScanRegion, ...]
-
-    def __len__(self) -> int:
-        return len(self.regions)
+    regions: Sequence[ScanRegion]
 
 
 class ResultStream:
@@ -264,22 +265,6 @@ class ResultStream:
         if self._fail(StreamCancelledError("stream closed by its consumer")):
             self._closed_by_consumer = True
 
-    def _terminal_error(self) -> ServiceError:
-        """The exception consumers raise for this stream's failure.
-
-        Preserves the failure's :class:`ServiceError` subclass (deadline,
-        busy, poison, cancelled...) so callers can branch on the outcome
-        without string-matching; falls back to plain ``ServiceError`` for
-        foreign exception types or subclasses with exotic constructors.
-        """
-        error = self._error
-        message = f"query failed in its batch: {error}"
-        cls = type(error) if isinstance(error, ServiceError) else ServiceError
-        try:
-            return cls(message)
-        except Exception:  # noqa: BLE001 — a ctor needing extra args
-            return ServiceError(message)
-
     def _starved_stage(self) -> str:
         """Which pipeline stage a timed-out waiter is starved in.
 
@@ -309,7 +294,9 @@ class ResultStream:
                     self._cond.notify_all()  # free a suspended producer
                 else:
                     if self._error is not None:
-                        raise self._terminal_error() from self._error
+                        raise stream_error(
+                            self._error, "query failed in its batch"
+                        ) from self._error
                     return
             yield chunk
 
@@ -345,7 +332,9 @@ class ResultStream:
                 self._cond.wait(tick)
                 self._check_liveness()
             if self._error is not None:
-                raise self._terminal_error() from self._error
+                raise stream_error(
+                    self._error, "query failed in its batch"
+                ) from self._error
             assert self._result is not None
             return self._result
 

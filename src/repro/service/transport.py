@@ -73,6 +73,7 @@ from ..errors import (
     TransportError,
     error_code,
     error_from_code,
+    stream_error,
 )
 from ..faults.plan import (
     FAULT_CONSUMER_SKEW,
@@ -83,6 +84,7 @@ from ..faults.plan import (
 from ..obs import DISABLED
 from ..geometry import Rectangle
 from ..video.codec import DecodeStats
+from .scheduler import StreamChunk
 
 __all__ = [
     "KIND_CANCEL",
@@ -904,18 +906,18 @@ class RetryPolicy:
 class RemoteScanStream:
     """Client-side mirror of :class:`ResultStream` over the socket protocol.
 
-    Iterate for ``(sot_index, [ScanRegion, ...])`` chunks as the server
-    streams them; :meth:`result` consumes the remainder and returns the
+    Iterate for :class:`~repro.service.scheduler.StreamChunk` tuples as the
+    server streams them; :meth:`result` consumes the remainder and returns the
     assembled :class:`ScanResult`.  The stream's credit budget (the client's
     ``stream_buffer_chunks``) bounds how many undelivered chunks the server
     may have in flight: each chunk the consumer drains returns one credit, so
     a consumer that falls behind suspends *this stream's producer on the
     server* — never the connection's shared reader, and never its other
     streams.  :meth:`close` cancels the scan on the wire, so the server stops
-    decoding for it.  A stream that failed keeps raising
-    :class:`ServiceError` on every later iteration or ``result()`` call.  The
-    owning client's ``timeout`` bounds the wait for each event: a server that
-    stops sending mid-stream raises instead of hanging the consumer forever.
+    decoding for it.  A stream that failed keeps raising :class:`ServiceError`
+    on every later iteration or ``result()`` call.  The owning client's
+    ``timeout`` bounds the wait for each event: a server that stops sending
+    mid-stream raises instead of hanging the consumer forever.
     """
 
     def __init__(self, client: "RemoteTasmClient", query_id: int, credits: int, timeout: float | None):
@@ -977,16 +979,6 @@ class RemoteScanStream:
         self._client._send_cancel(self.query_id)
         self._fail_from_wire(StreamCancelledError("stream closed by its consumer"))
 
-    def _scan_error(self) -> ServiceError:
-        """The exception consumers raise, preserving the typed subclass
-        (deadline, busy, poison, cancelled...) carried over the wire."""
-        error = self._error
-        cls = type(error) if isinstance(error, ServiceError) else ServiceError
-        try:
-            return cls(f"scan failed: {error}")
-        except Exception:  # noqa: BLE001 — a ctor needing extra args
-            return ServiceError(f"scan failed: {error}")
-
     def _starved_stage(self) -> str:
         """Best-effort: which stage a timed-out wait starved in.
 
@@ -1013,9 +1005,9 @@ class RemoteScanStream:
                 "(starved in queue, execute, or on the wire)"
             )
 
-    def __iter__(self) -> Iterator[tuple[int, list[ScanRegion]]]:
+    def __iter__(self) -> Iterator[StreamChunk]:
         if self._error is not None:
-            raise self._scan_error() from self._error
+            raise stream_error(self._error, "scan failed") from self._error
         skew = self._client._fault_skew
         while not self._finished:
             try:
@@ -1036,20 +1028,20 @@ class RemoteScanStream:
                     # This chunk's buffer slot is free again: let the server
                     # send the next one while the consumer works on this one.
                     self._client._grant_credit(self.query_id, 1)
-                yield sot_index, regions
+                yield StreamChunk(sot_index, regions)
             elif kind == "done":
                 self._result = _assemble_result(rest[0], self._regions)
                 self._finished = True
             else:  # "error"
                 self._error = rest[0]
                 self._finished = True
-                raise self._scan_error() from self._error
+                raise stream_error(self._error, "scan failed") from self._error
 
     def result(self) -> ScanResult:
         for _ in self:
             pass
         if self._error is not None:
-            raise self._scan_error() from self._error
+            raise stream_error(self._error, "scan failed") from self._error
         assert self._result is not None
         return self._result
 

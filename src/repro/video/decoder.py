@@ -250,8 +250,8 @@ class VideoDecoder:
         """Reconstruct each needed tile, via the cache when one is attached.
 
         Misses are single-flight across threads: when several concurrent
-        decodes (prefetch pool workers, or whole batches running on separate
-        service runners) miss on the same tile key at once, one leader
+        decodes (batches running on separate service runners) miss on the
+        same tile key at once, one leader
         decodes while the rest wait and then hit the fresh entry — the same
         tile is never decoded twice in parallel for the same depth.
         """

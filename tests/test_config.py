@@ -91,6 +91,18 @@ class TestTasmConfig:
         assert config.codec.gop_frames == 10
         assert config.cost.beta == pytest.approx(2e-6)
 
+    @pytest.mark.parametrize(
+        "mapping, named",
+        [
+            ({"executor_threads": 2}, "executor_threads"),
+            ({"codec": {"bogus": 1}}, "codec.bogus"),
+            ({"cost": {"beta": 2e-6, "delta": 1.0}}, "cost.delta"),
+        ],
+    )
+    def test_from_mapping_rejects_unknown_keys(self, mapping, named):
+        with pytest.raises(ConfigurationError, match=named):
+            TasmConfig.from_mapping(mapping)
+
     def test_config_is_frozen(self):
         with pytest.raises(Exception):
             DEFAULT_CONFIG.alpha = 0.5  # type: ignore[misc]

@@ -109,16 +109,6 @@ class TestBatchEquivalence:
         for result, query in zip(batch, queries):
             assert_scan_results_identical(result, reference.execute(query))
 
-    def test_threaded_batch_matches_serial(self, config):
-        serial_tasm, video = make_tasm(config)
-        threaded_tasm, _ = make_tasm(config)
-        queries = random_queries(video.name, video.frame_count, seed=5)
-        serial = serial_tasm.execute_batch(queries, max_workers=1)
-        threaded = threaded_tasm.execute_batch(queries, max_workers=4)
-        assert serial.stats.pixels_decoded == threaded.stats.pixels_decoded
-        for one, other in zip(serial, threaded):
-            assert_scan_results_identical(one, other)
-
     def test_repeated_scans_hit_persistent_cache(self, config):
         tasm, video = make_tasm(config, cache_bytes=64 * 1024 * 1024)
         cold = tasm.scan(video.name, "car")

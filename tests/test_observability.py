@@ -316,6 +316,29 @@ class TestCancelledAccounting:
 
     def test_remote_cancel_lands_in_metrics_and_trace_ring(self, config):
         server, video = make_server(config, service_stream_buffer_chunks=1)
+        # Hold the decode of every SOT after the first until the CANCEL has
+        # reached the server, so the scan cannot finish before it lands.
+        tasm = server.tasm
+        original = tasm._decoder.prefetch_regions
+        cancel_landed = threading.Event()
+        prefetches = []
+
+        def held_prefetch(sot, requests, scope):
+            prefetches.append(scope)
+            if len(prefetches) > 1:
+                cancel_landed.wait(10.0)
+            return original(sot, requests, scope)
+
+        tasm._decoder.prefetch_regions = held_prefetch
+        server_streams = []
+        submit = server.submit
+
+        def recording_submit(*args, **kwargs):
+            stream = submit(*args, **kwargs)
+            server_streams.append(stream)
+            return stream
+
+        server.submit = recording_submit
         try:
             with SocketTransport(server) as transport:
                 with RemoteTasmClient(
@@ -327,6 +350,12 @@ class TestCancelledAccounting:
                     stream.close()
                     deadline = time.monotonic() + 10.0
                     while time.monotonic() < deadline:
+                        if server_streams and server_streams[0].cancelled:
+                            break
+                        time.sleep(0.01)
+                    cancel_landed.set()
+                    deadline = time.monotonic() + 10.0
+                    while time.monotonic() < deadline:
                         if server.obs.queries_cancelled.value >= 1:
                             break
                         time.sleep(0.01)
@@ -336,6 +365,8 @@ class TestCancelledAccounting:
             statuses = [trace["status"] for trace in server.traces(8)]
             assert "cancelled" in statuses
         finally:
+            cancel_landed.set()
+            tasm._decoder.prefetch_regions = original
             server.stop()
 
 
